@@ -29,10 +29,9 @@ keep executing the golden store stream -- allocate nothing.
 
 Digests stay exact rather than approximated: :meth:`compose` rebuilds
 the full dense image (base + overlays) whenever the engine needs the
-bytes a per-lane RAM copy would hold -- state digests at golden
-checkpoint boundaries, hardware-state classification, scalar export.
+bytes a per-lane RAM copy would hold (hardware-state classification).
 Page-granular dirty tracking bounds the *storage*, never the
-observation, so the PR 3 early-stop argument is untouched.
+observation.
 
 ``allocated_bytes``/``peak_bytes`` count every materialized page
 (reference overlay included) and are deterministic for a fixed seed --
@@ -109,24 +108,6 @@ class LanePagedMemory:
         page = self._page_view(k, addr >> self._shift)
         off = addr & self._mask
         return page[off:off + n].tobytes()
-
-    def gather(self, lanes, addrs, size):
-        """Per-lane reads as one uint32 array (the vector-path load).
-
-        Fast path: a uniform address over lanes that all share the
-        touched page is one shared read broadcast.
-        """
-        first = addrs[0]
-        if all(a == first for a in addrs):
-            p = first >> self._shift
-            if all(p not in self.lane_pages[k] for k in lanes):
-                return np.full(len(lanes), self.read(self.ref, first,
-                                                     size),
-                               dtype=np.uint32)
-        out = np.empty(len(lanes), dtype=np.uint32)
-        for i, k in enumerate(lanes):
-            out[i] = self.read(k, addrs[i], size)
-        return out
 
     # -- writes --------------------------------------------------------
 

@@ -1,14 +1,14 @@
-"""The rtl-tier lane backend: N faulty pipeline runs in one pass.
+"""The rtl-tier lane engine: N faulty pipeline runs in one pass.
 
 The RT-level model is a cycle-accurate in-order pipeline, so its faulty
-runs cannot be replayed as a pure architectural lockstep the way the
-arch backend does -- fetch, issue, bypass, cache FSMs and the branch
-predictor all carry timing state.  What *can* be shared is the control
-trajectory: a register-file or CPSR fault leaves the pipeline's control
-stream (fetched PCs, issue grouping, cache line traffic, stall and
-redirect schedule) on the golden path until the flipped bit reaches a
-control-deciding value -- a condition code, a branch/PC target, a
-memory address, a syscall operand.  Those runs dominate the campaign.
+runs cannot be replayed as a pure architectural lockstep -- fetch,
+issue, bypass, cache FSMs and the branch predictor all carry timing
+state.  What *can* be shared is the control trajectory: a register-file
+or CPSR fault leaves the pipeline's control stream (fetched PCs, issue
+grouping, cache line traffic, stall and redirect schedule) on the
+golden path until the flipped bit reaches a control-deciding value -- a
+condition code, a branch/PC target, a memory address, a syscall
+operand.  Those runs dominate the campaign.
 
 So the engine adopts the simulator's live mid-flight core as a
 **lane core**: same pipeline latches, caches, predictor and fetch
@@ -40,13 +40,16 @@ always take the scalar path.
 """
 
 import time
-import zlib
 
 import numpy as np
 
 from repro.batch.memory import LanePagedMemory
 from repro.errors import SimFault
-from repro.injection.classify import FaultClass, FaultRecord, compare_traces
+from repro.injection.classify import (
+    FaultClass,
+    FaultRecord,
+    classify_outcome,
+)
 from repro.isa import valu
 from repro.isa.flags import Flags
 from repro.isa.instructions import (
@@ -353,12 +356,12 @@ class _RTLLaneGroup:
                     continue
                 self._inject(k)
             if core.exited:
-                fclass, detail = self._classify(k, RunStatus.EXITED)
+                fclass, detail = self._outcome(k, RunStatus.EXITED)
                 self._retire(k, fclass, detail)
                 continue
             end = self.ends[k]
             if end is not None and cyc >= end:
-                fclass, detail = self._classify(k, RunStatus.STOPPED)
+                fclass, detail = self._outcome(k, RunStatus.STOPPED)
                 self._retire(k, fclass, detail)
                 continue
             if cyc >= self.deadline:
@@ -404,39 +407,18 @@ class _RTLLaneGroup:
         image (the composed lane view *is* RAM + dirty lines)."""
         core = self.core
         regs = tuple(int(x) for x in core.rf.lregs[k, :15])
-        return ((regs, self._lane_flag_pack(k)),
-                zlib.crc32(self.store.compose(k)) & 0xFFFFFFFF)
+        return (regs, self._lane_flag_pack(k)), self.store.crc(k)
 
-    def _classify(self, k, status):
-        """Replica of ``FaultRunner._classify`` over lane state (DUE
-        and HANG are handled at the event-pass call sites)."""
-        cfg = self.config
-        golden = self.golden
-        output = bytes(self.emus[k].output)
-        if cfg.observation == "software":
-            if status is RunStatus.EXITED:
-                if output == golden["output"]:
-                    return FaultClass.MASKED, ""
-                return FaultClass.SDC, "program output differs"
-            if golden["output"].startswith(output):
-                return FaultClass.MASKED, "window expired, prefix clean"
-            return FaultClass.SDC, "output prefix differs"
-        if cfg.observation == "arch":
-            if output != golden["output"]:
-                return FaultClass.SDC, "program output differs"
-            if self._hw_state(k) != golden["hw_state"]:
-                return FaultClass.LATENT, "hardware state differs"
-            return FaultClass.MASKED, ""
+    def _outcome(self, k, status):
+        """:func:`classify_outcome` over lane ``k``'s output, hardware
+        state and pinout (DUE and HANG are handled at the event-pass
+        call sites)."""
         trace_base = self.cache.trace_base(self.faults[k].cycle)
-        golden_suffix = golden["pinout_keys"][trace_base:]
-        faulty_suffix = (self.prefix_keys + self.keys[k])[trace_base:]
-        if status is RunStatus.EXITED:
-            match = faulty_suffix == golden_suffix
-        else:
-            match = compare_traces(golden_suffix, faulty_suffix)
-        if match:
-            return FaultClass.MASKED, ""
-        return FaultClass.MISMATCH, "pinout trace deviates"
+        return classify_outcome(
+            self.config.observation, status, bytes(self.emus[k].output),
+            lambda: self._hw_state(k),
+            lambda: (self.prefix_keys + self.keys[k])[trace_base:],
+            self.golden, trace_base)
 
 
 class _LaneRegFile:

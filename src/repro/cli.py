@@ -35,10 +35,10 @@ tiers) -- plus ``--store DIR``
 to persist every completed fault to an on-disk campaign store and
 ``--resume`` to continue an interrupted run without repeating finished
 faults.  ``--lanes N`` additionally vectorizes the faulty runs of
-arch- and rtl-tier campaigns (``repro.batch``): N runs execute as one
-numpy pass with bit-identical per-fault classes.  Results are independent of
-the worker count, of the lane count and of interruption/resume, and
-per-fault classes are independent of ``dead`` pruning -- see DESIGN.md.
+rtl-tier campaigns (``repro.batch``; the only lane-batchable tier): N
+runs execute as one numpy pass with bit-identical per-fault classes.
+Results are independent of the worker count, of the lane count and of
+interruption/resume, and per-fault classes are independent of ``dead`` pruning -- see DESIGN.md.
 
 Campaigns run supervised: a crashed or hung worker is respawned and its
 batch retried; a fault that keeps killing workers is quarantined after
@@ -80,9 +80,9 @@ RESUME_HELP = (
 
 LANES_HELP = (
     "vectorized fault lanes per campaign (repro.batch): N > 1 executes "
-    "N faulty runs of the arch or rtl tier as one numpy pass; "
-    "per-fault classes are bit-identical to the scalar path.  Rejected "
-    "for scenarios targeting non-batchable levels (uarch)"
+    "N faulty runs of the rtl tier as one numpy pass; per-fault "
+    "classes are bit-identical to the scalar path.  Only rtl is "
+    "lane-batchable: rejected for scenarios targeting arch or uarch"
 )
 
 RETRIES_HELP = (

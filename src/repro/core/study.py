@@ -65,7 +65,7 @@ class StudyConfig:
         self.jobs = jobs
         self.batch_size = batch_size
         #: Vectorized lane count for the faulty phase (``repro.batch``;
-        #: effective on batchable levels only -- arch and rtl).
+        #: effective on the batchable level only -- rtl).
         self.lanes = lanes
         #: Root directory for per-campaign stores (``None`` = volatile).
         #: Each (level, workload, structure, mode) series gets its own

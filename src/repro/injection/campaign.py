@@ -41,7 +41,7 @@ from repro.injection.classify import (
     FaultClass,
     FaultRecord,
     Incident,
-    compare_traces,
+    classify_outcome,
 )
 from repro.injection.distributions import make_distribution, make_rng
 from repro.injection.observation import hardware_state_digest
@@ -175,8 +175,7 @@ class CampaignConfig:
         #: Vectorized lane count for the faulty phase (``repro.batch``):
         #: ``N > 1`` executes N same-segment faulty runs as one numpy
         #: pass on backends whose ``BATCHABLE`` flag allows it (the
-        #: arch and rtl tiers).  Execution-only: records are
-        #: bit-identical to
+        #: rtl tier).  Execution-only: records are bit-identical to
         #: the scalar path, so it stays out of :meth:`identity`.
         self.batch_lanes = batch_lanes
         #: Failed executions one fault may spend (worker crash, hung
@@ -481,19 +480,20 @@ class FaultRunner:
         """Execute ``specs`` in fault-sample order, vectorized when
         possible.
 
-        With ``batch_lanes > 1`` on a ``BATCHABLE`` backend the specs
-        are handed to the lane engine (:mod:`repro.batch`), which
-        executes same-segment groups of up to ``batch_lanes`` faulty
-        runs as one numpy pass; otherwise (or for a single fault) this
-        is exactly :func:`run_serial`.  Records are bit-identical
-        either way -- the cross-lane equivalence suite pins that.
+        With ``batch_lanes > 1`` on a ``BATCHABLE`` backend (the rtl
+        tier) the specs are handed to the lane engine
+        (:mod:`repro.batch`), which executes same-segment groups of up
+        to ``batch_lanes`` faulty runs as one numpy pass; otherwise (or
+        for a single fault) this is exactly :func:`run_serial`.
+        Records are bit-identical either way -- the cross-lane
+        equivalence suite pins that.
         """
         cfg = self.config
         if (cfg.batch_lanes > 1 and type(sim).BATCHABLE
                 and len(specs) > 1):
-            from repro.batch import LaneEngine
+            from repro.batch import RTLLaneEngine
 
-            engine = LaneEngine(self, sim, cfg.batch_lanes)
+            engine = RTLLaneEngine(self, sim, cfg.batch_lanes)
             records = engine.run(specs)
             self.batch_cycles += engine.batch_cycles
             self.batch_lane_peak_bytes = max(
@@ -539,8 +539,16 @@ class FaultRunner:
         status, converged = self._finish(sim, fault)
         if converged:
             fclass, detail = FaultClass.MASKED, "re-converged with golden"
+        elif status is RunStatus.FAULT:
+            fclass, detail = FaultClass.DUE, str(sim.fault)
+        elif status is RunStatus.TIMEOUT:
+            fclass, detail = FaultClass.HANG, "watchdog expired"
         else:
-            fclass, detail = self._classify(sim, status, trace_base)
+            fclass, detail = classify_outcome(
+                cfg.observation, status, sim.output,
+                lambda: hardware_state_digest(sim),
+                lambda: [t.key() for t in sim.pinout[trace_base:]],
+                self.golden, trace_base)
         return FaultRecord(
             fault, fclass, detail,
             sim_cycles=sim.cycle - fault.cycle,
@@ -581,43 +589,6 @@ class FaultRunner:
             return sim.run(stop_cycle=end,
                            max_cycles=self.hang_deadline), False
         return sim.run(max_cycles=self.hang_deadline), False
-
-    def _classify(self, sim, status, trace_base):
-        cfg = self.config
-        golden = self.golden
-        if status is RunStatus.FAULT:
-            return FaultClass.DUE, str(sim.fault)
-        if status is RunStatus.TIMEOUT:
-            return FaultClass.HANG, "watchdog expired"
-        if cfg.observation == "software":
-            if status is RunStatus.EXITED:
-                if sim.output == golden["output"]:
-                    return FaultClass.MASKED, ""
-                return FaultClass.SDC, "program output differs"
-            # Window expired before program end: compare the prefix.
-            if golden["output"].startswith(sim.output):
-                return FaultClass.MASKED, "window expired, prefix clean"
-            return FaultClass.SDC, "output prefix differs"
-        if cfg.observation == "arch":
-            # HVF-style layer boundary: output first, then latent state.
-            if sim.output != golden["output"]:
-                return FaultClass.SDC, "program output differs"
-            if hardware_state_digest(sim) != golden["hw_state"]:
-                return FaultClass.LATENT, "hardware state differs"
-            return FaultClass.MASKED, ""
-        # Pinout observation: strictly the write-back/refill traffic at
-        # the core pins, as in the paper.  Silent corruption that never
-        # reaches the pins is invisible here -- that blindness is the
-        # paper's Fig. 2 finding, so the observation stays pure.
-        golden_suffix = golden["pinout_keys"][trace_base:]
-        faulty_suffix = [t.key() for t in sim.pinout[trace_base:]]
-        if status is RunStatus.EXITED:
-            match = faulty_suffix == golden_suffix
-        else:
-            match = compare_traces(golden_suffix, faulty_suffix)
-        if match:
-            return FaultClass.MASKED, ""
-        return FaultClass.MISMATCH, "pinout trace deviates"
 
 
 def run_serial(sim, runner, specs, progress=None, on_batch=None):

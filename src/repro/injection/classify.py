@@ -19,9 +19,14 @@ MISMATCH   no      pinout/signal trace deviated from golden
 LATENT     no      hardware state corrupted, output clean
                    (HVF-style "arch" observation point only)
 ========== ======= ==========================================
+
+:func:`classify_outcome` is the one classifier of a completed faulty
+run, shared by the scalar path and the rtl lane engine.
 """
 
 import enum
+
+from repro.sim.base import RunStatus
 
 
 class FaultClass(enum.Enum):
@@ -134,3 +139,50 @@ def compare_traces(golden_keys, faulty_keys, limit=None):
         if faulty_keys[i] != golden_keys[i]:
             return False
     return True
+
+
+def classify_outcome(observation, status, output, hw_state, pinout_keys,
+                     golden, trace_base):
+    """Classify a faulty run that exited or stopped at its window end.
+
+    The one classifier of both :meth:`FaultRunner.run_one
+    <repro.injection.campaign.FaultRunner.run_one>` and the rtl lane
+    engine (:mod:`repro.batch.rtl`).  DUE (machine fault) and HANG
+    (watchdog) are decided at the call sites, so ``status`` is
+    ``RunStatus.EXITED`` or ``RunStatus.STOPPED``.  ``output`` is the
+    faulty program output; ``golden`` the golden payload (``output``,
+    ``hw_state``, ``pinout_keys``).  ``hw_state`` and ``pinout_keys``
+    are zero-argument callables, evaluated only by the observation
+    point that needs them: the hardware-state digest (``arch``) and the
+    faulty pinout keys from ``trace_base`` on (``pinout``).  Returns
+    ``(FaultClass, detail)``.
+    """
+    if observation == "software":
+        if status is RunStatus.EXITED:
+            if output == golden["output"]:
+                return FaultClass.MASKED, ""
+            return FaultClass.SDC, "program output differs"
+        # Window expired before program end: compare the prefix.
+        if golden["output"].startswith(output):
+            return FaultClass.MASKED, "window expired, prefix clean"
+        return FaultClass.SDC, "output prefix differs"
+    if observation == "arch":
+        # HVF-style layer boundary: output first, then latent state.
+        if output != golden["output"]:
+            return FaultClass.SDC, "program output differs"
+        if hw_state() != golden["hw_state"]:
+            return FaultClass.LATENT, "hardware state differs"
+        return FaultClass.MASKED, ""
+    # Pinout observation: strictly the write-back/refill traffic at
+    # the core pins, as in the paper.  Silent corruption that never
+    # reaches the pins is invisible here -- that blindness is the
+    # paper's Fig. 2 finding, so the observation stays pure.
+    golden_suffix = golden["pinout_keys"][trace_base:]
+    faulty_suffix = pinout_keys()
+    if status is RunStatus.EXITED:
+        match = faulty_suffix == golden_suffix
+    else:
+        match = compare_traces(golden_suffix, faulty_suffix)
+    if match:
+        return FaultClass.MASKED, ""
+    return FaultClass.MISMATCH, "pinout trace deviates"

@@ -679,10 +679,10 @@ def run_in_process(sim, runner, items, retries=DEFAULT_RETRIES,
     """In-process execution with the lane engine when it applies.
 
     The vectorized lane path (``batch_lanes > 1`` on a ``BATCHABLE``
-    backend) runs whole same-segment groups as one numpy pass, which
-    has no per-fault retry boundary -- so it is used exactly when no
-    chaos is configured, and an exception there propagates as it
-    always did.  Everything else goes through
+    backend; only rtl is lane-batchable) runs whole same-segment
+    groups as one numpy pass, which has no per-fault retry boundary --
+    so it is used exactly when no chaos is configured, and an exception
+    there propagates as it always did.  Everything else goes through
     :func:`run_serial_supervised`.
     """
     cfg = runner.config

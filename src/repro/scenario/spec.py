@@ -240,8 +240,8 @@ class CellSpec:
     #: Per-batch wall-clock budget in seconds (``None`` = derived from
     #: the golden run's wall cost x hang_factor).
     batch_timeout: object = None
-    #: Vectorized lane count for the faulty phase (lane-batchable
-    #: tiers: arch and rtl).
+    #: Vectorized lane count for the faulty phase (the lane-batchable
+    #: tier: rtl).
     lanes: int = 1
     #: Sweep coordinates of this cell: ``(axis, value)`` pairs in the
     #: sweep's declaration order (empty without a sweep).
@@ -593,9 +593,8 @@ class ScenarioSpec:
                     "execution.lanes",
                     f"lanes={self.lanes} needs a batchable backend, "
                     f"but level {level!r} is not",
-                    hint="the lane engine vectorizes the arch and "
-                         "rtl tiers; restrict targets.levels or use "
-                         "lanes = 1")
+                    hint="only the rtl tier is lane-batchable; "
+                         "restrict targets.levels or use lanes = 1")
 
     def _level_combos(self):
         """Every (level, structure, mode) combination the grid (plus a

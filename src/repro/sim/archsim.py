@@ -111,11 +111,6 @@ class ArchSim(SimulatorBase):
     #: golden boundary digests (enables campaign early-stop).
     DRAIN_FREE = True
 
-    #: Pure architectural state + flat RAM: the batch-fault lane engine
-    #: can hold N faulty copies as numpy lane arrays and step them in
-    #: lockstep (``repro.batch``).
-    BATCHABLE = True
-
     #: ``_ArchCore.tick`` executes the instruction *then* advances the
     #: cycle, so when a run pauses at a stop cycle the events stamped
     #: with that cycle have not happened yet (unlike the hardware

@@ -30,12 +30,14 @@ from repro.memory.ram import RAM
 
 
 def _crc(obj):
-    """Stable content checksum of a snapshot payload.
+    """Checksum of a snapshot payload's pickle.
 
-    Snapshots are plain containers of bytes/ints/numpy arrays, so their
-    pickling is deterministic within one platform+interpreter -- which is
-    the scope a digest is ever compared across (parent process and its
-    campaign workers).
+    Pickle output is not a pure function of content: its memo shares
+    repeated *objects* by identity, so two content-equal containers
+    whose equal leaves are shared differently pickle (and hash)
+    differently.  Use it only on payloads without repeated mutable or
+    string/bytes leaves (a bytes image, numpy arrays); hash anything
+    else through a content-only encoding such as ``repr``.
     """
     return zlib.crc32(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
@@ -80,12 +82,11 @@ class SimulatorBase:
     #: the campaign engine's early-stop convergence check sound there.
     DRAIN_FREE = False
 
-    #: True when the batch-fault lane engine (``repro.batch``) has a
-    #: lane backend for this level: the arch emulator runs as a numpy
-    #: ISS lockstep, the rtl pipeline as lane arrays over its register
-    #: file/CPSR with drop-to-scalar fallback on control divergence.
-    #: ``execution.lanes > 1`` is rejected at scenario validation for
-    #: levels without a backend (today: uarch).
+    #: True when the batch-fault lane engine (``repro.batch``) runs
+    #: this level: only the rtl pipeline, as lane arrays over its
+    #: register file/CPSR with drop-to-scalar fallback on control
+    #: divergence.  ``execution.lanes > 1`` is rejected at scenario
+    #: validation for every other level (arch, uarch).
     BATCHABLE = False
 
     #: Tick-stamp convention of the access trace: True when a tick
@@ -372,7 +373,10 @@ class SimulatorBase:
                 arch["pc"],
                 _crc(self.ram.snapshot()),
                 core.syscalls.snapshot(),
-                _crc([t.key() for t in self.pinout]),
+                # repr, not _crc: a campaign worker's pinout, rebuilt
+                # from an unpickled checkpoint, shares equal leaves
+                # differently than the parent's golden run does.
+                zlib.crc32(repr([t.key() for t in self.pinout]).encode()),
                 self._digest_extra(),
             )
         finally:

@@ -22,7 +22,7 @@ dynamic trace records):
 Def/use sets come from a per-tier :class:`DefUseModel` built on the same
 :meth:`~repro.isa.instructions.Inst.src_regs` /
 :meth:`~repro.isa.instructions.Inst.dst_regs` metadata the simulators
-(and ``repro.batch.valu``) dispatch on, so the static view and the
+(and ``repro.isa.valu``) dispatch on, so the static view and the
 executed view stay in lockstep.  Model soundness contract, for **both**
 analyses: ``use`` must cover every access the machine *may* perform at
 a dynamic instance of the instruction (including accesses the dynamic

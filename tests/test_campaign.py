@@ -3,11 +3,15 @@
 import pytest
 
 from repro.injection.campaign import Campaign, CampaignConfig
-from repro.injection.classify import FaultClass, compare_traces
+from repro.injection.classify import (
+    FaultClass,
+    classify_outcome,
+    compare_traces,
+)
 from repro.isa import assemble
 from repro.isa.toolchain import Toolchain
 from repro.rtl import RTLConfig, RTLSim
-from repro.uarch import CortexA9Config, MicroArchSim
+from repro.uarch import CortexA9Config, MicroArchSim, RunStatus
 
 #: A small but non-trivial workload: fills and folds a buffer, prints a
 #: checksum.  Fast enough for many campaign runs inside the unit tests.
@@ -71,6 +75,81 @@ def test_compare_traces_prefix_semantics():
     assert not compare_traces(golden, ["a", "x"])
     assert not compare_traces(golden, ["a", "b", "c", "d"])
     assert compare_traces(golden, [])
+
+
+# ----------------------------------------------------------------------
+# classify_outcome
+# ----------------------------------------------------------------------
+
+EXITED, STOPPED = RunStatus.EXITED, RunStatus.STOPPED
+GOLDEN = {
+    "output": b"42\n",
+    "hw_state": ("regs", 0xC0FFEE),
+    "pinout_keys": [("wb", 0, b"a"), ("wb", 4, b"b"), ("rd", 8, b"")],
+}
+#: Pinout rows compare the golden keys from this index on.
+TRACE_BASE = 1
+TAIL = GOLDEN["pinout_keys"][TRACE_BASE:]
+
+#: (observation, status, output, hw_state, faulty pinout keys from
+#: TRACE_BASE on, expected class, expected detail).  ``None`` marks an
+#: input the branch must not evaluate.
+CLASSIFY_CASES = [
+    ("software", EXITED, b"42\n", None, None, FaultClass.MASKED, ""),
+    ("software", EXITED, b"43\n", None, None, FaultClass.SDC,
+     "program output differs"),
+    ("software", EXITED, b"42", None, None, FaultClass.SDC,
+     "program output differs"),
+    ("software", STOPPED, b"4", None, None, FaultClass.MASKED,
+     "window expired, prefix clean"),
+    ("software", STOPPED, b"", None, None, FaultClass.MASKED,
+     "window expired, prefix clean"),
+    ("software", STOPPED, b"5", None, None, FaultClass.SDC,
+     "output prefix differs"),
+    ("arch", EXITED, b"42\n", ("regs", 0xC0FFEE), None,
+     FaultClass.MASKED, ""),
+    ("arch", EXITED, b"42\n", ("regs", 0xBAD), None, FaultClass.LATENT,
+     "hardware state differs"),
+    ("arch", EXITED, b"0\n", None, None, FaultClass.SDC,
+     "program output differs"),
+    ("arch", STOPPED, b"42\n", ("regs", 0xC0FFEE), None,
+     FaultClass.MASKED, ""),
+    ("arch", STOPPED, b"42\n", ("regs", 0xBAD), None, FaultClass.LATENT,
+     "hardware state differs"),
+    ("arch", STOPPED, b"4", None, None, FaultClass.SDC,
+     "program output differs"),
+    ("pinout", EXITED, b"0\n", None, TAIL, FaultClass.MASKED, ""),
+    ("pinout", EXITED, b"42\n", None, TAIL[:1], FaultClass.MISMATCH,
+     "pinout trace deviates"),
+    ("pinout", EXITED, b"42\n", None, [("wb", 4, b"x"), TAIL[1]],
+     FaultClass.MISMATCH, "pinout trace deviates"),
+    ("pinout", STOPPED, b"", None, TAIL[:1], FaultClass.MASKED, ""),
+    ("pinout", STOPPED, b"", None, [], FaultClass.MASKED, ""),
+    ("pinout", STOPPED, b"", None, [("wb", 4, b"x")],
+     FaultClass.MISMATCH, "pinout trace deviates"),
+    ("pinout", STOPPED, b"", None, TAIL + [("wb", 12, b"c")],
+     FaultClass.MISMATCH, "pinout trace deviates"),
+]
+
+
+def _thunk(value):
+    def get():
+        assert value is not None, "branch evaluated an input it ignores"
+        return value
+    return get
+
+
+def test_classify_outcome_branches():
+    """Every observation x status branch of the one classifier, pinned
+    directly rather than through whole campaigns; the hardware-state
+    and pinout thunks are evaluated only by the branch that needs
+    them."""
+    for (observation, status, output, hw_state, pinout, fclass,
+         detail) in CLASSIFY_CASES:
+        got = classify_outcome(observation, status, output,
+                               _thunk(hw_state), _thunk(pinout), GOLDEN,
+                               TRACE_BASE)
+        assert got == (fclass, detail), (observation, status, output)
 
 
 def test_fault_class_safety_mapping():

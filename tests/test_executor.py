@@ -9,6 +9,7 @@ from repro.injection import executor
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.isa import assemble
 from repro.isa.toolchain import Toolchain
+from repro.sim.archsim import ArchSim
 from repro.uarch import CortexA9Config, MicroArchSim
 from support import record_keys, truncate_records
 
@@ -55,23 +56,27 @@ def tiny_program():
 class TinyFactory:
     """Picklable simulator factory (a lambda would break spawn)."""
 
-    def __init__(self, program):
+    def __init__(self, program, level="uarch"):
         self.program = program
+        self.level = level
 
     def __call__(self):
+        if self.level == "arch":
+            return ArchSim(self.program)
         config = CortexA9Config(dcache_size=1024, icache_size=1024)
         return MicroArchSim(self.program, config)
 
 
-def run_campaign(program, **config_kwargs):
+def run_campaign(program, level="uarch", **config_kwargs):
     # prune_mode="off": these tests pin the executor's sharding and
     # merge mechanics, which need every sampled fault to actually reach
     # the faulty phase (pruning would thin the work list; its own
     # equivalence suite lives in tests/test_prune.py).
-    config = CampaignConfig(samples=16, window=800, seed=9,
-                            prune_mode="off", **config_kwargs)
-    campaign = Campaign(TinyFactory(program), "regfile", config,
-                        workload="tiny", level="uarch")
+    kwargs = {"samples": 16, "window": 800, "seed": 9, "prune_mode": "off"}
+    kwargs.update(config_kwargs)
+    campaign = Campaign(TinyFactory(program, level), "regfile",
+                        CampaignConfig(**kwargs), workload="tiny",
+                        level=level)
     return campaign.run()
 
 
@@ -153,16 +158,32 @@ def test_jobs1_never_spawns_pool(tiny_program, monkeypatch):
 # equivalence: same seed => identical records, any worker count
 # ----------------------------------------------------------------------
 
+#: ``test_parallel_matches_serial`` inputs: (level, config overrides).
+#: The arch case is windowed with early-stop on, so workers compare
+#: their faulty-run digests against golden digests computed in the
+#: parent; seed and stride are picked so several faults re-converge.
+PARALLEL_CASES = (
+    ("uarch", {}),
+    ("arch", {"seed": 2, "checkpoint_interval": 50}),
+)
+
+
 def test_parallel_matches_serial(tiny_program):
-    serial = run_campaign(tiny_program, jobs=1)
-    parallel = run_campaign(tiny_program, jobs=2)
-    assert parallel.jobs == 2
-    # Requesting more workers than batches reports the clamped count.
-    clamped = run_campaign(tiny_program, jobs=16, batch_size=8)
-    assert clamped.jobs == 2
-    assert record_keys(clamped) == record_keys(serial)
-    assert record_keys(parallel) == record_keys(serial)
-    assert parallel.summary()["unsafeness"] == serial.summary()["unsafeness"]
+    for level, overrides in PARALLEL_CASES:
+        serial = run_campaign(tiny_program, level, jobs=1, **overrides)
+        parallel = run_campaign(tiny_program, level, jobs=2, **overrides)
+        assert parallel.jobs == 2
+        # Requesting more workers than batches reports the clamped count.
+        clamped = run_campaign(tiny_program, level, jobs=16, batch_size=8,
+                               **overrides)
+        assert clamped.jobs == 2
+        assert record_keys(clamped) == record_keys(serial), level
+        assert record_keys(parallel) == record_keys(serial), level
+        assert (parallel.summary()["unsafeness"]
+                == serial.summary()["unsafeness"])
+    # The last case (arch) did exercise re-convergence.
+    assert any(r.detail == "re-converged with golden"
+               for r in serial.records)
 
 
 def test_parallel_spawn_matches_serial(tiny_program):

@@ -584,7 +584,9 @@ def test_lanes_knob_in_every_describe_header():
     assert "lanes=8" in CampaignConfig(batch_lanes=8).describe()
     assert "lanes=8" in StudyConfig(workloads=("sha",), samples=5,
                                     lanes=8).describe()
-    assert "lanes=8" in make_spec(execution={"lanes": 8}).describe()
+    assert "lanes=8" in make_spec(
+        targets={"levels": ["rtl"], "workloads": ["stringsearch"]},
+        execution={"lanes": 8}).describe()
     assert "lanes" not in CampaignConfig().describe()
     assert "lanes" not in make_spec().describe()
 
@@ -618,22 +620,25 @@ def test_retries_and_batch_timeout_validated():
 
 
 def test_lanes_rejected_on_non_batchable_levels():
-    """The lane engine vectorizes the arch and rtl tiers: a spec asking
-    for ``lanes > 1`` on uarch fails validation naming the field."""
-    with pytest.raises(ScenarioError) as err:
-        make_spec(targets={"levels": ["uarch"],
-                           "workloads": ["stringsearch"]},
-                  execution={"lanes": 8})
-    assert err.value.field == "execution.lanes"
-    assert "uarch" in str(err.value)
-    # lanes=1 is fine anywhere, lanes=8 is fine on the batchable tiers.
-    make_spec(targets={"levels": ["uarch", "rtl"],
+    """The lane engine vectorizes only the rtl tier: a spec asking for
+    ``lanes > 1`` on uarch or arch fails validation naming the field."""
+    for level in ("uarch", "arch"):
+        with pytest.raises(ScenarioError) as err:
+            make_spec(targets={"levels": [level],
+                               "workloads": ["stringsearch"]},
+                      execution={"lanes": 8})
+        assert err.value.field == "execution.lanes"
+        assert level in str(err.value)
+    # lanes=1 is fine anywhere, lanes=8 is fine on the batchable tier.
+    make_spec(targets={"levels": ["arch", "uarch", "rtl"],
                        "workloads": ["stringsearch"]},
               execution={"lanes": 1})
     make_spec(targets={"levels": ["rtl"],
                        "workloads": ["stringsearch"]},
               execution={"lanes": 8})
-    make_spec(execution={"lanes": 8})
+    with pytest.raises(ScenarioError) as err:
+        make_spec(execution={"lanes": 8})
+    assert err.value.field == "execution.lanes"
 
 
 # ----------------------------------------------------------------------

@@ -161,7 +161,6 @@ def parse_table2(text):
 
 #: Artifact basename -> extractor over the file's text.
 PARSERS = {
-    "batch_speedup.txt": parse_batch_speedup,
     "batch_rtl_speedup.txt": parse_batch_speedup,
     "prune_speedup.txt": parse_prune_speedup,
     "static_prune.txt": parse_static_prune,
