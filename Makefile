@@ -13,7 +13,8 @@ help:
 	@echo "              diff, prune static (capture-free dataflow pruning,"
 	@echo "              REPRO_STATIC_XCHECK sanitizer on) vs off class diffs"
 	@echo "              at all three tiers, sweep-scenario store+resume round"
-	@echo "              trip (+ CSV artifact), binary vs jsonl store-format"
+	@echo "              trip (+ CSV artifact), arch jobs=1 vs jobs=2 class"
+	@echo "              diffs (golden cursor), binary vs jsonl store-format"
 	@echo "              class diff, rtl lanes=4 vs lanes=1 class diffs"
 	@echo "              (repro.batch), REPRO_CHAOS"
 	@echo "              degraded-completion leg (crash+hang injection,"
@@ -58,7 +59,11 @@ bench:
 # then exercises the scenario layer end to end the same way: run twice
 # with store+resume, export the ResultSet CSV (a CI artifact), and diff
 # each level's prune=off vs prune=dead store class-by-class (the
-# exactness contract, via the sweep path).  The lanes leg re-runs the
+# exactness contract, via the sweep path).  The serial arch leg re-runs
+# the sweep's arch cells at execution.jobs=1 and diffs both prune modes
+# against the jobs=2 sweep stores: the in-process golden cursor against
+# the per-worker cursors of cycle-ordered worker batches, end to end.
+# The lanes leg re-runs the
 # sweep's cells at rtl -- the only lane-batchable tier, not part of the
 # sweep preset, so run scalar first -- with the vectorized lane engine
 # at execution.lanes=4 into a fresh store and diffs each prune mode's
@@ -125,6 +130,16 @@ bench-smoke:
 	$(PYTHON) tools/diff_store_classes.py \
 	  benchmarks/results/smoke_sweep/uarch-stringsearch-regfile-pinout-prune=off \
 	  benchmarks/results/smoke_sweep/uarch-stringsearch-regfile-pinout-prune=dead
+	rm -rf benchmarks/results/smoke_arch_serial
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run sweep-smoke \
+	  --set targets.levels=arch --set execution.jobs=1 \
+	  --set execution.store=benchmarks/results/smoke_arch_serial
+	$(PYTHON) tools/diff_store_classes.py \
+	  benchmarks/results/smoke_arch_serial/arch-stringsearch-regfile-pinout-prune=off \
+	  benchmarks/results/smoke_sweep/arch-stringsearch-regfile-pinout-prune=off
+	$(PYTHON) tools/diff_store_classes.py \
+	  benchmarks/results/smoke_arch_serial/arch-stringsearch-regfile-pinout-prune=dead \
+	  benchmarks/results/smoke_sweep/arch-stringsearch-regfile-pinout-prune=dead
 	rm -rf benchmarks/results/smoke_static_arch
 	REPRO_STATIC_XCHECK=1 \
 	  PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.cli run sweep-smoke \

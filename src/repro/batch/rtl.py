@@ -620,7 +620,7 @@ class _LaneCore(RTLCore):
             try:
                 self._execute_ex2(uop)
             except SimFault as exc:
-                self.fault = exc
+                self.fault = exc.with_traceback(None)
                 return
             if self.exited:
                 return

@@ -16,6 +16,11 @@ class SimFault(Exception):
             ``syscall-error``, ``halt-trap``.
         detail: free-form human-readable context.
         addr: program counter (or effective address) involved, if known.
+
+    A core that catches one latches it as its fault state with the
+    traceback stripped (``exc.with_traceback(None)``): the traceback's
+    frames reference the core, and that cycle would keep every faulted
+    machine, RAM included, alive until a full garbage collection.
     """
 
     def __init__(self, kind, detail="", addr=None):

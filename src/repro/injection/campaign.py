@@ -350,8 +350,10 @@ class CampaignResult:
     def simulated_cycles(self):
         """Cycles the faulty phase re-simulated: pre-injection replay
         plus post-injection tail, summed over all runs.  Deterministic
-        for a fixed seed, so warm/cold benches compare this ratio
-        rather than wall-clock noise."""
+        for a fixed seed at ``jobs=1``, so warm/cold benches compare
+        this ratio rather than wall-clock noise; at ``jobs=N`` the
+        replay part depends on which faults share a worker (the golden
+        cursor, see :meth:`FaultRunner.run_one`)."""
         return sum(r.replay_cycles + r.sim_cycles for r in self.records)
 
     @property
@@ -457,16 +459,20 @@ class FaultRunner:
 
     One instance holds everything step 2 of the flow needs -- the
     campaign config, the golden run's trace/checkpoints and the hang
-    deadline -- and nothing else, so it pickles once per worker process
-    of the parallel executor.  The serial path drives the very same
-    object, which is what makes ``jobs=N`` bit-identical to ``jobs=1``
-    for a fixed seed.
+    deadline -- plus a per-process golden cursor (see :meth:`run_one`)
+    and nothing else, so it pickles once per worker process of the
+    parallel executor; the cursor is never pickled.  The serial path
+    drives the very same object, which is what makes ``jobs=N``
+    bit-identical to ``jobs=1`` for a fixed seed.
     """
 
     def __init__(self, config, golden, hang_deadline):
         self.config = config
         self.golden = golden
         self.hang_deadline = hang_deadline
+        #: Golden cursor: ``(target boundary, stop cycle, checkpoint)``
+        #: of the last pre-injection instant reached, or ``None``.
+        self._cursor = None
         #: Global lane-engine cycles this runner actually stepped --
         #: the batched analogue of per-record replay+sim cycles,
         #: accumulated by :meth:`run_many` for the speedup bench.
@@ -477,7 +483,7 @@ class FaultRunner:
         self.batch_lane_peak_bytes = 0
 
     def run_many(self, sim, specs, progress=None, on_batch=None):
-        """Execute ``specs`` in fault-sample order, vectorized when
+        """Execute ``specs`` in the order given, vectorized when
         possible.
 
         With ``batch_lanes > 1`` on a ``BATCHABLE`` backend (the rtl
@@ -506,6 +512,15 @@ class FaultRunner:
             return records
         return run_serial(sim, self, specs, progress, on_batch=on_batch)
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state["_cursor"] = None
+        return state
+
+    def drop_cursor(self):
+        """Release the golden cursor (its checkpoint and RAM image)."""
+        self._cursor = None
+
     def run_one(self, sim, fault):
         """Seek, advance, inject, finish, classify: one FaultRecord.
 
@@ -514,14 +529,31 @@ class FaultRunner:
         checkpoint (cold start) and replays the drain-punctuated golden
         trajectory in between, so the pre-injection state -- and hence
         the classification -- is identical either way.
+
+        Warm-started runs on ``DRAIN_FREE`` backends also keep a golden
+        cursor: an exact checkpoint of the last pre-injection instant
+        reached.  A later fault in the same checkpoint segment, at or
+        after the cursor's stop cycle, restores the cursor instead and
+        replays only the difference -- with no drain inside a segment,
+        ``run(stop=c1)`` then ``run(stop=c2)`` visits exactly the states
+        ``run(stop=c2)`` does.  Faults dispatched in cycle order thus
+        replay each segment's golden prefix about once.
         """
         cfg = self.config
         run_start = time.perf_counter()
         cache = self.golden["cache"]
-        trace_base, restore_cycle = cache.seek(
-            sim, fault.cycle, warm=cfg.warm_start,
-            max_cycles=self.hang_deadline,
-        )
+        target = cache.boundary_at_or_before(fault.cycle)
+        cursor = self._cursor
+        if (cursor is not None and cursor[0] == target
+                and fault.cycle >= cursor[1]):
+            sim.restore(cursor[2])
+            trace_base = cache.trace_base(fault.cycle)
+            restore_cycle = sim.cycle
+        else:
+            trace_base, restore_cycle = cache.seek(
+                sim, fault.cycle, warm=cfg.warm_start,
+                max_cycles=self.hang_deadline,
+            )
         status = sim.run(stop_cycle=fault.cycle,
                          max_cycles=self.hang_deadline)
         if status is not RunStatus.STOPPED:
@@ -535,6 +567,14 @@ class FaultRunner:
                 replay_cycles=sim.cycle - restore_cycle,
             )
         replay_cycles = sim.cycle - restore_cycle
+        if cfg.warm_start and type(sim).DRAIN_FREE:
+            # One reusable RAM image per runner, not one per fault;
+            # unset the cursor while its image is being overwritten.
+            image = (cursor[2]["ram"] if cursor is not None
+                     else bytearray(sim.ram.size))
+            self._cursor = None
+            self._cursor = (target, fault.cycle,
+                            sim.checkpoint(ram_into=image))
         sim.inject(fault.structure, fault.bit)
         status, converged = self._finish(sim, fault)
         if converged:
@@ -964,7 +1004,8 @@ class Campaign:
         The golden phase and fault sampling always run in this process;
         the faulty runs execute serially (``jobs=1``, the default) or on
         a process pool (:mod:`repro.injection.executor`).  Both backends
-        produce records in fault-sample order.
+        run faults in injection-cycle order and produce records in
+        fault-sample order.
 
         With a :class:`~repro.injection.store.CampaignStore` every
         completed fault is appended durably; with ``resume=True`` faults
@@ -1055,6 +1096,10 @@ class Campaign:
                     if i not in stored and i not in pruned_records
                     and i not in member_of and i not in stored_incidents
                 ]
+                # Dispatch in injection-cycle order so the golden cursor
+                # (FaultRunner.run_one) replays each checkpoint segment
+                # about once; records still merge by index.
+                remaining.sort(key=lambda item: (item[1].cycle, item[0]))
                 result.resumed = len(stored)
                 result.resumed_seconds = sum(
                     stored[i].wall_seconds for i in range(len(specs))
@@ -1118,6 +1163,7 @@ class Campaign:
                             stop=stop,
                         )
                     jobs = 1
+                runner.drop_cursor()
                 result.jobs = jobs
                 result.retried_count = requeued
                 result.batch_cycles = runner.batch_cycles

@@ -3,8 +3,9 @@
 A campaign's step 2 (the faulty simulations) is embarrassingly
 parallel: every run restores a golden checkpoint, injects one bit and
 compares against read-only golden data.  This module shards the sampled
-faults into contiguous batches and fans them out over the supervised
-worker set of :mod:`repro.injection.supervisor`:
+faults, in the campaign's injection-cycle dispatch order, into
+contiguous batches and fans them out over the supervised worker set of
+:mod:`repro.injection.supervisor`:
 
 * the golden payload (trace keys, output, checkpoints) and the
   simulator factory are **serialized once** and shipped to each worker

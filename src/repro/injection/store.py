@@ -43,7 +43,11 @@ only the remainder.  Records from both sessions merge by index into a
 sequence whose classifications (class, detail, sim_cycles) are
 bit-identical to an uninterrupted run; only per-session accounting
 (``wall_seconds`` -- microsecond-quantized in format 2 --  and
-``replay_cycles``) reflects how each session actually executed.  A
+``replay_cycles``) reflects how each session actually executed.
+``replay_cycles`` is what positioning that fault advanced: from a
+restored checkpoint or, on drain-free tiers, from the golden cursor
+the previous fault in the same segment left behind, so it depends on
+which faults a session (or worker) ran back to back.  A
 half-written trailing record (the in-flight fault of a kill) is
 truncated away on open; any earlier corruption, a duplicated fault
 index, or an identity mismatch is an error, never a silent partial

@@ -54,8 +54,14 @@ class RAM:
         self._check(addr, len(blob))
         self.data[addr:addr + len(blob)] = blob
 
-    def snapshot(self):
-        return bytes(self.data)
+    def snapshot(self, into=None):
+        """The RAM image; with ``into`` (a ``bytearray`` of the RAM
+        size) the image is copied into that buffer, which is returned,
+        instead of allocating a fresh one."""
+        if into is None:
+            return bytes(self.data)
+        into[:] = self.data
+        return into
 
     def restore(self, blob):
         self.data = bytearray(blob)

@@ -173,7 +173,7 @@ class RTLCore:
             try:
                 self._execute_ex2(uop)
             except SimFault as exc:
-                self.fault = exc
+                self.fault = exc.with_traceback(None)
                 return
             if self.exited:
                 return
@@ -295,7 +295,7 @@ class RTLCore:
             try:
                 self._execute_ex1(uop)
             except SimFault as exc:
-                self.fault = exc
+                self.fault = exc.with_traceback(None)
                 self.ex1 = []
                 return
             if uop.inst.op in (Op.MUL, Op.MLA) and uop.cond_pass:

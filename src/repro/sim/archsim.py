@@ -93,7 +93,7 @@ class _ArchCore:
         try:
             self.interp.step()
         except SimFault as exc:
-            self.fault = exc
+            self.fault = exc.with_traceback(None)
         self.cycle += self.cycles_per_inst
 
     def quiesced(self):

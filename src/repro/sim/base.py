@@ -311,8 +311,13 @@ class SimulatorBase:
         finally:
             core.draining = False
 
-    def checkpoint(self):
-        """Drain the pipeline and capture a deterministic restart point."""
+    def checkpoint(self, ram_into=None):
+        """Drain the pipeline and capture a deterministic restart point.
+
+        ``ram_into`` -- a reusable ``bytearray`` the RAM image is
+        copied into instead of a fresh ``bytes`` (see
+        :meth:`~repro.memory.ram.RAM.snapshot`); the caller owns it.
+        """
         self.drain()
         core = self.core
         self._trace_pause += 1
@@ -321,7 +326,7 @@ class SimulatorBase:
                 "cycle": core.cycle,
                 "icount": core.icount,
                 "pc": self._restart_pc(),
-                "ram": self.ram.snapshot(),
+                "ram": self.ram.snapshot(into=ram_into),
                 "syscalls": core.syscalls.snapshot(),
                 "pinout": list(self.pinout),
                 "mispredicts": core.mispredicts,

@@ -147,7 +147,7 @@ class OoOCore:
                             cycle=self.cycle,
                         )
                     except SimFault as exc:
-                        self.fault = exc
+                        self.fault = exc.with_traceback(None)
                         return
                     missed = missed or not hit
                 if missed:
@@ -269,7 +269,7 @@ class OoOCore:
             try:
                 latency = self._execute(rec)
             except SimFault as exc:
-                rec.fault = exc
+                rec.fault = exc.with_traceback(None)
                 latency = 1
             if op in (Op.MUL, Op.MLA):
                 mul_free -= 1

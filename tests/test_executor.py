@@ -301,6 +301,34 @@ def test_runner_payload_pickles(tiny_program):
     assert clone_factory().cycle == 0
 
 
+def test_runner_cursor_is_never_pickled(tiny_program):
+    """An in-process run leaves a golden cursor on the runner, but the
+    payload a worker would receive is byte-identical to before."""
+    from repro.injection import supervisor
+    from repro.injection.campaign import FaultRunner
+    from repro.injection.checkpoint_cache import CheckpointCache
+    from repro.injection.faults import FaultSpec
+
+    sim = ArchSim(tiny_program)
+    # One segment: every fault shares the base boundary, so the run
+    # leaves the cache's LRU order (which pickles) untouched.
+    cache = CheckpointCache(stride=100_000)
+    cache.capture_golden(sim)
+    golden = {"cache": cache, "output": sim.output,
+              "pinout_keys": [t.key() for t in sim.pinout]}
+    runner = FaultRunner(CampaignConfig(samples=3), golden, 10_000)
+    before = pickle.dumps(runner)
+    items = [(i, FaultSpec("regfile", 7 * i, 100 * (i + 1)))
+             for i in range(3)]
+    records, incidents, _, _ = supervisor.run_in_process(sim, runner,
+                                                         items)
+    assert len(records) == 3 and not incidents
+    assert records[2].replay_cycles == 100  # advanced from the cursor
+    assert runner._cursor is not None
+    assert pickle.dumps(runner) == before
+    assert pickle.loads(before)._cursor is None
+
+
 def test_bounded_cache_shrinks_worker_payload(tiny_program):
     """The LRU bound caps what the pool initializer serializes."""
     from repro.injection.campaign import FaultRunner

@@ -10,11 +10,15 @@ held to the same contract:
 * the campaign engine runs end-to-end at every level.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.injection import ArchEmu
 from repro.injection.campaign import Campaign, CampaignConfig
 from repro.injection.classify import FaultClass
+from repro.isa import assemble
 from repro.sim import registry
 from repro.sim.base import RunStatus, SimulatorBase
 
@@ -172,6 +176,36 @@ def test_state_digest_sees_injected_faults(level_sim):
     for reg in range(15):
         sim.inject("regfile", reg * 32)
     assert sim.state_digest() != before
+
+
+BAD_LOAD_SRC = """
+    .text
+_start:
+    ldr  r1, =0x7ffffff0
+    ldr  r0, [r1]
+    movw r0, #0
+    svc  #0
+    .pool
+"""
+
+
+def test_latched_fault_frees_faulted_machine(level_sim):
+    """A core latches a SimFault without its traceback, whose frames
+    would reference the core: the faulted machine is freed as soon as a
+    restore replaces it, not at the next full garbage collection."""
+    level, _ = level_sim
+    sim = registry.simulator_class(level)(assemble(BAD_LOAD_SRC,
+                                                   name="bad-load"))
+    base = sim.checkpoint()
+    assert sim.run(max_cycles=10_000) is RunStatus.FAULT
+    assert sim.fault.__traceback__ is None
+    faulted = weakref.ref(sim.core)
+    gc.disable()
+    try:
+        sim.restore(base)
+        assert faulted() is None
+    finally:
+        gc.enable()
 
 
 def test_checkpoint_at_hook(level_sim):

@@ -71,7 +71,11 @@ def test_bounded_cache_matches_unbounded(level_reference):
 
 def test_warm_start_replays_less(level_reference):
     """The acceleration is real: warm replays strictly fewer cycles
-    than cold (the faulty phases being bit-identical otherwise)."""
+    than cold (the faulty phases being bit-identical otherwise).
+
+    On drain-free tiers the golden cursor goes further: faults run in
+    injection-cycle order, so each checkpoint segment's golden prefix
+    is replayed once, up to its latest injection instant."""
     level, factory, _ = level_reference
     warm = run_campaign(factory, level)
     cold = run_campaign(factory, level, warm_start=False)
@@ -79,6 +83,22 @@ def test_warm_start_replays_less(level_reference):
     cold_replay = sum(r.replay_cycles for r in cold.records)
     assert warm_replay < cold_replay, level
     assert warm.simulated_cycles < cold.simulated_cycles, level
+    if not registry.simulator_class(level).DRAIN_FREE:
+        return
+    pool = {}
+    config = CampaignConfig(samples=40, window=WINDOW, seed=SEED,
+                            prune_mode="off")
+    shared = Campaign(factory, "regfile", config, workload=WORKLOAD,
+                      level=level).run(golden_pool=pool)
+    (golden,) = pool.values()
+    cache = golden.golden["cache"]
+    latest = {}
+    for r in shared.records:
+        k = cache.boundary_at_or_before(r.fault.cycle)
+        latest[k] = max(latest.get(k, 0), r.fault.cycle)
+    assert len(latest) < shared.n, "no two faults share a segment"
+    assert sum(r.replay_cycles for r in shared.records) == sum(
+        cycle - cache.cycles[k] for k, cycle in latest.items()), level
 
 
 def test_early_stop_preserves_classifications():
